@@ -86,23 +86,24 @@ using itag::Status;
 constexpr size_t kReadsPerSecondClosed = 2500;  // phase 1, ~40% of the run
 constexpr size_t kReadWindow = 8;               // pipelined reads in flight
 constexpr size_t kRounds = 5;  // closed-loop rounds, median rate reported
-// About half of what the stack serves when requests arrive one at a time
-// (~2.5k/s on a 4-core host); near that knee latency swings by 10x.
-constexpr double kOpenLoopRate = 1200.0;
+// A quarter of what the stack serves when requests arrive one at a time
+// (~2.5k/s on a 4-core host). Near that knee latency swings by 10x; at half
+// of it, on a shared 4-vCPU VM, the median latency of five seeds spread by
+// 45% of itself while the host's other load was high.
+constexpr double kOpenLoopRate = 600.0;
 constexpr double kOpenLoopShare = 0.5;  // phase 2 length
-// Two ~0.5 s latency windows per repetition (see WindowedTail).
-constexpr size_t kLatencyWindows = 2;
 constexpr size_t kReadsPerWrite = 200;
 constexpr size_t kWriterTasksPerCycle = 4;
 constexpr size_t kEqualitySamples = 16;
 // audience_ingest. The follower re-derives every touched shard per stream
 // burst, so its catch-up grows faster than the data (on a 4-core host 600
-// cycles in one stack take 6 s, 1000 take 14 s, 1800 over a minute); three
-// repetitions of 300 cycles keep it to about a second each.
+// cycles in one stack take 6 s, 1000 take 14 s, 1800 over a minute);
+// repetitions of 300 cycles keep it to one or two seconds each.
 constexpr size_t kCyclesPerSecond = 90;
+constexpr size_t kCyclesPerRep = 300;
 constexpr size_t kTasksPerCycle = 16;
 constexpr size_t kCheckpointEvery = 40;  // tagger 0's cycles
-// platform_tick: 250 ticks leave 12 beyond p95.
+// platform_tick: 20 s of ticks leave 25 beyond p95.
 constexpr size_t kTicksPerSecond = 25;
 
 // Replay slices of the traced run.
@@ -261,9 +262,7 @@ struct PassResult {
   double ops_per_s = 0;
   std::vector<double> latencies_us;  ///< the workload's user-facing op
   std::vector<double> lateness_us;   ///< open-loop sends behind schedule
-  size_t latency_windows = 1;        ///< see WindowedTail
   double p50_us = 0;                 ///< median latency
-  Tail tail;                         ///< tail latency
   FailTally fails;
   std::vector<std::string> errors;  ///< failed output checks
   // Layer figures the wire run yields.
@@ -602,7 +601,6 @@ PassResult DashboardPass(Ctx& ctx, size_t setups, double secs,
   outs[0].latencies_us = ol.latencies_us;
   outs[0].lateness_us = ol.lateness_us;
   if (traced) outs[0].spans.Append(open_spans);
-  r.latency_windows = kLatencyWindows;
 
   Samples after = MetricsOf(stack->admin);
   Reconcile(outs, before, after, &r.errors);
@@ -884,15 +882,16 @@ PassResult RunRep(Ctx& ctx, size_t setups, double secs, SpanLog* spans) {
   return {};
 }
 
-/// Repetitions per pass. Each runs its share of the work on a fresh stack
-/// (fresh threads and connections); the pass reports the median over them,
-/// which keeps one unlucky stack from setting a run's figures.
-size_t RepsOf(Workload w) {
+/// Repetitions of a pass of `secs`. Each runs its share of the work on a
+/// fresh stack (fresh threads and connections); the pass reports the median
+/// over them, which keeps one unlucky stack from setting a run's figures.
+size_t RepsOf(Workload w, double secs) {
   switch (w) {
     case Workload::kDashboardRead:
       return 5;
     case Workload::kAudienceIngest:
-      return 3;
+      return std::max<long>(1, std::lround(secs * kCyclesPerSecond /
+                                           kCyclesPerRep));
     case Workload::kPlatformTick:
       return 1;
   }
@@ -906,10 +905,10 @@ double MedianOf(const std::vector<PassResult>& reps,
   return Median(v);
 }
 
-/// One pass of the workload: its repetitions, merged. With `many_setups`
-/// at least kSetupsUntraced set-ups are timed in all.
-PassResult Pass(Ctx& ctx, bool many_setups, SpanLog* spans) {
-  const size_t reps = RepsOf(ctx.args.workload);
+/// One pass of `secs` of the workload: its repetitions, merged. With
+/// `many_setups` at least kSetupsUntraced set-ups are timed in all.
+PassResult Pass(Ctx& ctx, double secs, bool many_setups, SpanLog* spans) {
+  const size_t reps = RepsOf(ctx.args.workload, secs);
   const size_t setups =
       many_setups ? (kSetupsUntraced + reps - 1) / reps : 1;
   std::vector<PassResult> runs;
@@ -917,10 +916,9 @@ PassResult Pass(Ctx& ctx, bool many_setups, SpanLog* spans) {
     // Hand the previous stack's freed memory back, so the process's peak
     // resident size is one repetition's, not an accident of heap reuse.
     malloc_trim(0);
-    runs.push_back(RunRep(ctx, setups, ctx.args.seconds / reps, spans));
+    runs.push_back(RunRep(ctx, setups, secs / reps, spans));
     PassResult& r = runs.back();
     r.p50_us = Median(r.latencies_us);
-    r.tail = WindowedTail(r.latencies_us, r.latency_windows);
   }
   PassResult m;
   for (PassResult& r : runs) {
@@ -935,11 +933,6 @@ PassResult Pass(Ctx& ctx, bool many_setups, SpanLog* spans) {
     m.errors.insert(m.errors.end(), r.errors.begin(), r.errors.end());
     m.checksum = m.checksum * 1099511628211ULL ^ r.checksum;
   }
-  std::vector<double> tails;
-  for (const PassResult& r : runs) tails.push_back(r.tail.value);
-  m.tail = runs.front().tail;
-  m.tail.value = Median(tails);
-  m.tail.count = m.latencies_us.size();
   m.p50_us = MedianOf(runs, &PassResult::p50_us);
   m.ops_per_s = MedianOf(runs, &PassResult::ops_per_s);
   m.net_bytes_per_op = MedianOf(runs, &PassResult::net_bytes_per_op);
@@ -1006,24 +999,25 @@ void PrintFails(const char* what, const FailTally& f) {
 }
 
 int RunUntraced(Ctx& ctx) {
-  PassResult r = Pass(ctx, true, nullptr);
+  PassResult r = Pass(ctx, ctx.args.seconds, true, nullptr);
   Tail late = TailOf(r.lateness_us);
-  std::printf("latency: n=%zu p50=%.1fus tail=p%g %.1fus (%zu beyond per "
-              "window, median of %zu repetitions)\n",
-              r.latencies_us.size(), r.p50_us, r.tail.q * 100, r.tail.value,
-              r.tail.beyond, RepsOf(ctx.args.workload));
+  Tail tail = TailOf(r.latencies_us);
+  std::printf("latency: n=%zu p50=%.1fus (median of %zu repetitions) "
+              "tail=p%g %.1fus (%zu beyond)\n",
+              r.latencies_us.size(), r.p50_us,
+              RepsOf(ctx.args.workload, ctx.args.seconds), tail.q * 100,
+              tail.value, tail.beyond);
   if (!r.lateness_us.empty()) {
     std::printf("open-loop lateness: p50=%.1fus p%g=%.1fus\n",
                 Median(r.lateness_us), late.q * 100, late.value);
   }
   PrintFails("operations", r.fails);
   PrintErrors(r.errors);
-  bool correct = r.errors.empty() && r.tail.q > 0;
+  bool correct = r.errors.empty() && tail.q > 0;
   PrintResult(ctx, correct, r.fails,
               {{"setup_s", Median(r.setup_s), "s"},
                {"ops_per_s", r.ops_per_s, "1/s"},
                {"latency_p50_us", r.p50_us, "us"},
-               {"latency_tail_us", r.tail.value, "us"},
                {"peak_rss_mb", PeakRssMb(), "MB"}});
   return 0;
 }
@@ -1104,9 +1098,11 @@ int RunTraced(Ctx& ctx) {
   const Workload w = ctx.args.workload;
   const bool durable = w == Workload::kAudienceIngest;
 
-  PassResult base = Pass(ctx, false, nullptr);
+  // Half of --seconds each, so the replays below fit the run's time too.
+  const double secs = ctx.args.seconds / 2;
+  PassResult base = Pass(ctx, secs, false, nullptr);
   SpanLog wire_spans(true);
-  PassResult traced = Pass(ctx, false, &wire_spans);
+  PassResult traced = Pass(ctx, secs, false, &wire_spans);
   for (PassResult* p : {&base, &traced}) {
     errors.insert(errors.end(), p->errors.begin(), p->errors.end());
     fails.Merge(p->fails);
@@ -1280,6 +1276,7 @@ int RunTraced(Ctx& ctx) {
   const CallTimes& below_core = durable ? durable_facade : facade;
   Tail late = TailOf(base.lateness_us);
   Tail lag = TailOf(traced.lag_ms);
+  Tail tail = TailOf(base.latencies_us);
   std::vector<Metric> m = {
       {"net.rtt_self_us.query", SelfUs(wire.query, api_t.query), "us"},
       {"net.rtt_self_us.cycle", SelfUs(wire.cycle, api_t.cycle), "us"},
@@ -1320,6 +1317,7 @@ int RunTraced(Ctx& ctx) {
       {"repl.catchup_ms", base.catchup_ms, "ms"},
       {"repl.bytes_per_task", base.repl_bytes_per_task, "bytes"},
       {"loadgen.late_tail_us", late.value, "us"},
+      {"latency_tail_us", tail.value, "us"},
       {"trace.overhead_pct", overhead_pct, "%"},
       {"fail_ratio", fails.ratio(), "ratio"},
   };

@@ -49,22 +49,6 @@ Tail TailOf(const std::vector<double>& samples) {
   return tail;
 }
 
-Tail WindowedTail(const std::vector<double>& samples, size_t windows) {
-  const size_t per = windows == 0 ? 0 : samples.size() / windows;
-  if (windows <= 1 || per == 0) return TailOf(samples);
-  std::vector<double> window_tails;
-  Tail tail;
-  for (size_t w = 0; w < windows; ++w) {
-    std::vector<double> part(samples.begin() + w * per,
-                             samples.begin() + (w + 1) * per);
-    tail = TailOf(part);
-    window_tails.push_back(tail.value);
-  }
-  tail.value = tail.q == 0 ? 0.0 : Median(window_tails);
-  tail.count = samples.size();
-  return tail;
-}
-
 void OpenLoopTimer::Sent(size_t i, Clock::time_point t) {
   lateness_us_.push_back(std::max(0.0, MicrosBetween(Due(i), t)));
 }

@@ -42,12 +42,6 @@ struct Tail {
 };
 Tail TailOf(const std::vector<double>& samples);
 
-/// The tail of a sample cut, in arrival order, into `windows` equal runs of
-/// consecutive samples: the rule picks q for one window, and the median of
-/// the windows' q-percentiles is reported, so one burst of stalls moves one
-/// window and not the figure. `beyond` is per window; one window is TailOf.
-Tail WindowedTail(const std::vector<double>& samples, size_t windows);
-
 /// Open-loop schedule: request i is due at start + i * period, whenever the
 /// generator actually gets to send it. Latency runs from the due time, so a
 /// stall that delays later sends is charged to those requests too; lateness

@@ -55,24 +55,6 @@ TEST(TailTest, HighestPercentileWithTenBeyond) {
   EXPECT_DOUBLE_EQ(t.q, 0.5);
 }
 
-TEST(TailTest, WindowedTailIsTheMedianWindow) {
-  // Five windows of 1000; each window's p99 is 990 + its offset, except one
-  // window holding a burst of stalls.
-  std::vector<double> v;
-  for (int w = 0; w < 5; ++w) {
-    for (double x : OneTo(1000)) v.push_back(w == 3 ? x * 100 : x + w);
-  }
-  Tail t = WindowedTail(v, 5);
-  EXPECT_DOUBLE_EQ(t.q, 0.99);
-  EXPECT_EQ(t.value, 992);  // windows read 990, 991, 992, 99000, 994
-  EXPECT_EQ(t.count, 5000u);
-  EXPECT_EQ(t.beyond, 10u);
-  // One window is the plain rule.
-  EXPECT_EQ(WindowedTail(v, 1).value, TailOf(v).value);
-  // Windows too small for any percentile report nothing.
-  EXPECT_EQ(WindowedTail(OneTo(50), 5).q, 0.0);
-}
-
 TEST(OpenLoopTest, LatencyRunsFromDueTimeNotSendTime) {
   Clock::time_point t0 = Clock::now();
   OpenLoopTimer timer(t0, std::chrono::milliseconds(1));
