@@ -77,6 +77,12 @@ struct ProjectInfo {
   double projected_gain = 0.0;     ///< estimated quality gain of remaining budget
 };
 
+/// The Fig. 3 listing order: descending quality, ties by ascending id.
+inline bool ListedBefore(const ProjectInfo& a, const ProjectInfo& b) {
+  if (a.quality != b.quality) return a.quality > b.quality;
+  return a.id < b.id;
+}
+
 }  // namespace itag::core
 
 #endif  // ITAG_ITAG_PROJECT_H_

@@ -19,6 +19,13 @@ using tagging::ResourceId;
 
 namespace {
 
+/// Tasks the project can still hand out: the engine's counter once
+/// started, the spec's budget before.
+uint32_t BudgetRemaining(const QualityManager::ProjectRec& rec) {
+  return rec.engine != nullptr ? rec.engine->budget_remaining()
+                               : rec.spec.budget;
+}
+
 /// Seed of a project's allocation engine; recovery reconstructs engines
 /// with the same seed before rewinding their RNG to the saved position.
 uint64_t EngineSeed(ProjectId project) { return 0x5151 + project; }
@@ -83,7 +90,9 @@ QualityManager::QualityManager(ResourceManager* resources, TagManager* tags,
       tags_(tags),
       users_(users),
       clock_(clock),
-      db_(db) {}
+      db_(db),
+      recomputes_(obs::MetricsRegistry::Default().GetCounter(
+          "core.derived.recomputes")) {}
 
 Status QualityManager::Attach() {
   if (!persist()) return Status::OK();
@@ -350,15 +359,13 @@ Result<ProjectInfo> QualityManager::GetInfo(ProjectId project) const {
   info.spec = rec->spec;
   info.state = rec->state;
   info.tasks_completed = rec->tasks_completed;
-  info.budget_remaining =
-      rec->engine != nullptr ? rec->engine->budget_remaining()
-                             : rec->spec.budget;
+  info.budget_remaining = BudgetRemaining(*rec);
   const tagging::Corpus* corpus = resources_->GetCorpus(project);
-  info.num_resources = corpus == nullptr ? 0 : corpus->size();
-  info.quality =
-      corpus == nullptr ? 0.0 : stability_.CorpusQuality(*corpus);
-  Result<double> projected = ProjectedGain(project);
-  info.projected_gain = projected.ok() ? projected.value() : 0.0;
+  if (corpus != nullptr) {
+    info.num_resources = corpus->size();
+    info.quality = CachedQuality(*rec, *corpus);
+    info.projected_gain = CachedGain(*rec, *corpus);
+  }
   return info;
 }
 
@@ -372,10 +379,30 @@ std::vector<ProjectInfo> QualityManager::ListProjects(
     Result<ProjectInfo> info = GetInfo(id);
     if (info.ok()) out.push_back(info.value());
   }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.quality != b.quality) return a.quality > b.quality;
-    return a.id < b.id;
-  });
+  std::sort(out.begin(), out.end(), ListedBefore);
+  return out;
+}
+
+std::vector<ProjectId> QualityManager::RunningProjects() const {
+  std::vector<ProjectInfo> running;  // only id + quality are filled in
+  for (const auto& [id, rec] : projects_) {
+    if (rec.state != ProjectState::kRunning) continue;
+    ProjectInfo& info = running.emplace_back();
+    info.id = id;
+    const tagging::Corpus* corpus = resources_->GetCorpus(id);
+    if (corpus != nullptr) info.quality = CachedQuality(rec, *corpus);
+  }
+  std::sort(running.begin(), running.end(), ListedBefore);
+  std::vector<ProjectId> out;
+  out.reserve(running.size());
+  for (const ProjectInfo& info : running) out.push_back(info.id);
+  return out;
+}
+
+std::vector<ProjectId> QualityManager::ProjectIds() const {
+  std::vector<ProjectId> out;
+  out.reserve(projects_.size());
+  for (const auto& [id, rec] : projects_) out.push_back(id);
   return out;
 }
 
@@ -598,7 +625,7 @@ void QualityManager::EmitQualityPoint(ProjectId project, ProjectRec& rec) {
   if (corpus == nullptr) return;
   QualityPoint p;
   p.tasks = rec.tasks_completed;
-  p.quality = stability_.CorpusQuality(*corpus);
+  p.quality = CachedQuality(rec, *corpus);
   p.time = clock_->Now();
   if (persist()) {
     (void)db_->Insert(tables::kQualityFeed,
@@ -710,26 +737,44 @@ const std::vector<QualityPoint>& QualityManager::QualityFeed(
   return rec == nullptr ? kEmpty : rec->feed;
 }
 
-Result<double> QualityManager::ProjectedGain(ProjectId project) const {
-  const ProjectRec* rec = GetRec(project);
-  const tagging::Corpus* corpus = resources_->GetCorpus(project);
-  if (rec == nullptr || corpus == nullptr) {
-    return Status::NotFound("project " + std::to_string(project));
+double QualityManager::CachedQuality(const ProjectRec& rec,
+                                     const tagging::Corpus& corpus) const {
+  ProjectRec::DerivedCache& c = rec.derived;
+  if (c.quality_version != corpus.version()) {
+    c.quality = stability_.CorpusQuality(corpus);
+    c.quality_version = corpus.version();
+    recomputes_->Inc();
   }
-  if (corpus->size() == 0) return 0.0;
-  uint32_t budget = rec->engine != nullptr ? rec->engine->budget_remaining()
-                                           : rec->spec.budget;
-  if (budget == 0) return 0.0;
-  // Cap the planning horizon: the projection view only needs a coarse
-  // number, and the greedy split is O(B log n).
-  budget = std::min<uint32_t>(budget, 5000);
+  return c.quality;
+}
+
+double QualityManager::CachedGain(const ProjectRec& rec,
+                                  const tagging::Corpus& corpus) const {
+  ProjectRec::DerivedCache& c = rec.derived;
+  // The split only sees the budget up to the horizon, so budgets beyond it
+  // share one cache entry.
+  const uint32_t budget = std::min(BudgetRemaining(rec), kGainHorizon);
+  if (c.gain_version != corpus.version() || c.gain_budget != budget) {
+    c.gain = ComputeProjectedGain(corpus, budget);
+    c.gain_version = corpus.version();
+    c.gain_budget = budget;
+    recomputes_->Inc();
+  }
+  return c.gain;
+}
+
+double QualityManager::ComputeProjectedGain(const tagging::Corpus& corpus,
+                                            uint32_t budget_remaining) {
+  if (corpus.size() == 0 || budget_remaining == 0) return 0.0;
+  const uint32_t budget = std::min(budget_remaining, kGainHorizon);
 
   // Quality curve from the empirical (Dirichlet-smoothed) estimator.
-  std::vector<SparseDist> thetas(corpus->size());
-  std::vector<uint32_t> k0(corpus->size());
-  for (ResourceId r = 0; r < corpus->size(); ++r) {
-    thetas[r] = gain_.EstimateTheta(corpus->stats(r));
-    k0[r] = corpus->PostCount(r);
+  const quality::EmpiricalGainEstimator gain;
+  std::vector<SparseDist> thetas(corpus.size());
+  std::vector<uint32_t> k0(corpus.size());
+  for (ResourceId r = 0; r < corpus.size(); ++r) {
+    thetas[r] = gain.EstimateTheta(corpus.stats(r));
+    k0[r] = corpus.PostCount(r);
   }
   auto curve = [&](uint32_t r, uint32_t extra) {
     if (thetas[r].empty()) {
@@ -739,12 +784,12 @@ Result<double> QualityManager::ProjectedGain(ProjectId project) const {
     return quality::ExpectedQualityClosedForm(thetas[r], k0[r] + extra, 3.0);
   };
   std::vector<uint32_t> x =
-      strategy::GreedyAllocate(corpus->size(), budget, curve);
-  double gain = 0.0;
-  for (ResourceId r = 0; r < corpus->size(); ++r) {
-    gain += curve(r, x[r]) - curve(r, 0);
+      strategy::GreedyAllocate(corpus.size(), budget, curve);
+  double total = 0.0;
+  for (ResourceId r = 0; r < corpus.size(); ++r) {
+    total += curve(r, x[r]) - curve(r, 0);
   }
-  return gain / static_cast<double>(corpus->size());
+  return total / static_cast<double>(corpus.size());
 }
 
 Result<QualityManager::ResourceDetail> QualityManager::GetResourceDetail(

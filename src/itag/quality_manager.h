@@ -17,6 +17,7 @@
 #include "itag/resource_manager.h"
 #include "itag/tag_manager.h"
 #include "itag/user_manager.h"
+#include "obs/metrics.h"
 #include "quality/gain_estimator.h"
 #include "quality/quality_model.h"
 #include "storage/database.h"
@@ -58,12 +59,20 @@ class QualityManager {
   Result<ProjectId> CreateProject(ProviderId provider,
                                   const ProjectSpec& spec);
 
-  /// Project info snapshot (Fig. 3 row).
+  /// Project info snapshot (Fig. 3 row). Quality and projected gain come
+  /// from the record's per-version cache (see ProjectRec::DerivedCache).
   Result<ProjectInfo> GetInfo(ProjectId project) const;
 
   /// All projects of one provider (or all when provider == SIZE_MAX),
-  /// sorted by descending quality — the Fig. 3 listing order.
+  /// sorted by descending quality, ties by id — the Fig. 3 listing order.
   std::vector<ProjectInfo> ListProjects(ProviderId provider) const;
+
+  /// Running projects in the Fig. 3 listing order: the order Step pumps
+  /// them in (and so the order the crowd RNG stream is consumed in).
+  std::vector<ProjectId> RunningProjects() const;
+
+  /// Every project id, ascending.
+  std::vector<ProjectId> ProjectIds() const;
 
   /// Starts (or resumes) task allocation. Requires at least one resource.
   Status Start(ProjectId project);
@@ -133,8 +142,11 @@ class QualityManager {
 
   /// Projected additional quality if the remaining budget is spent with the
   /// estimated-gain-optimal split (the "projected quality gains" shown
-  /// while the provider picks a budget).
-  Result<double> ProjectedGain(ProjectId project) const;
+  /// while the provider picks a budget), computed from scratch: a greedy
+  /// split of `budget_remaining` (capped at kGainHorizon) over `corpus`.
+  /// GetInfo serves exactly this value from its per-version cache.
+  static double ComputeProjectedGain(const tagging::Corpus& corpus,
+                                     uint32_t budget_remaining);
 
   /// Per-resource detail for Fig. 6: current quality and the posts so far.
   struct ResourceDetail {
@@ -186,11 +198,31 @@ class QualityManager {
     uint32_t tasks_completed = 0;
     std::vector<uint8_t> stopped;  // provider's per-resource Stop flags
     bool exhausted_notified = false;  // de-dups budget-exhausted alerts
+
+    /// The two derived values of the Fig. 3 row. Both are pure functions
+    /// of the corpus contents — append-only, so Corpus::version() names
+    /// them exactly — and, for the gain, of the budget the split plans
+    /// over. Each is recomputed only when its key moves.
+    struct DerivedCache {
+      static constexpr uint64_t kNever = ~uint64_t{0};
+      uint64_t quality_version = kNever;
+      double quality = 0.0;
+      uint64_t gain_version = kNever;
+      uint32_t gain_budget = 0;
+      double gain = 0.0;
+    };
+    mutable DerivedCache derived;
   };
   const ProjectRec* GetRec(ProjectId project) const;
 
  private:
   ProjectRec* Rec(ProjectId project);
+  /// The record's derived values, recomputed (and counted in
+  /// core.derived.recomputes) only when their cache key moved.
+  double CachedQuality(const ProjectRec& rec,
+                       const tagging::Corpus& corpus) const;
+  double CachedGain(const ProjectRec& rec,
+                    const tagging::Corpus& corpus) const;
   void EmitQualityPoint(ProjectId project, ProjectRec& rec);
   /// Pushes the one-shot budget-exhausted notification when `status` says so.
   void NotifyIfExhausted(ProjectId project, ProjectRec* rec,
@@ -224,9 +256,14 @@ class QualityManager {
   std::map<ProviderId, std::deque<storage::RowId>> inbox_rows_;
   ProjectId next_project_ = 1;
 
+  obs::Counter* recomputes_;  ///< core.derived.recomputes
+
   /// Resources crossing this stability-quality bar trigger a
   /// kQualityImproved notification.
   static constexpr double kNotifyQualityBar = 0.8;
+  /// Planning horizon of the projected gain: the view only needs a coarse
+  /// number, and the greedy split is O(B log n).
+  static constexpr uint32_t kGainHorizon = 5000;
 };
 
 }  // namespace itag::core

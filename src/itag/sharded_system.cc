@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <set>
 
@@ -20,6 +21,27 @@ size_t DefaultPoolThreads(size_t num_shards) {
   size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   return std::max<size_t>(1, std::min(num_shards, hw));
+}
+
+/// Bit-for-bit equality of two infos: what "changed" means for a
+/// snapshot (doubles by representation, so even a 0.0 → -0.0 flip
+/// republishes).
+bool SameInfo(const ProjectInfo& a, const ProjectInfo& b) {
+  auto same_bits = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  };
+  return a.id == b.id && a.provider == b.provider &&
+         a.spec.name == b.spec.name && a.spec.kind == b.spec.kind &&
+         a.spec.description == b.spec.description &&
+         a.spec.budget == b.spec.budget &&
+         a.spec.pay_cents == b.spec.pay_cents &&
+         a.spec.platform == b.spec.platform &&
+         a.spec.strategy == b.spec.strategy && a.state == b.state &&
+         a.budget_remaining == b.budget_remaining &&
+         a.tasks_completed == b.tasks_completed &&
+         a.num_resources == b.num_resources &&
+         same_bits(a.quality, b.quality) &&
+         same_bits(a.projected_gain, b.projected_gain);
 }
 
 // Placement-database tables (see docs/rebalancing.md for the formats).
@@ -138,9 +160,8 @@ Status ShardedSystem::Init() {
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const ProjectInfo& info :
-         shard.system->ListProjects(static_cast<ProviderId>(-1))) {
-      SetPlacementGauge(GlobalProjectOf(s, info.id), s);
+    for (ProjectId local : shard.system->quality_manager().ProjectIds()) {
+      SetPlacementGauge(GlobalProjectOf(s, local), s);
     }
   }
   metrics_.placement_version->Set(
@@ -221,6 +242,12 @@ Status ShardedSystem::ReloadPlacement() {
   ITAG_RETURN_IF_ERROR(LoadPlacementOverlay());
   metrics_.placement_version->Set(
       static_cast<int64_t>(placement_version_.load(std::memory_order_acquire)));
+  // Snapshots carry global ids, which a migration's slot history decides:
+  // republish the ones an earlier refresh globalized under the old map.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    std::lock_guard<std::mutex> lock(shards_[s]->mu);
+    RefreshShard(s);
+  }
   return Status::OK();
 }
 
@@ -464,38 +491,21 @@ auto ShardedSystem::WithProject(ProjectId project, Fn&& fn) const
                    ProjectId{0})) {
   using R = decltype(fn(size_t{0}, static_cast<ITagSystem*>(nullptr),
                         ProjectId{0}));
-  if (project == 0) {  // 0 is never issued — reject before resolving
-    return R(Status::NotFound("project 0"));
-  }
   for (int attempt = 0; attempt < 4; ++attempt) {
-    PlacementMap::Location loc;
-    {
-      std::shared_lock<std::shared_mutex> pl(placement_mu_);
-      if (!placement_.Resolve(project, &loc)) {
-        return R(Status::NotFound("project " + std::to_string(project)));
-      }
-    }
-    if (loc.local == 0) {  // no shard hands out local id 0 — global is bogus
-      return R(Status::NotFound("project " + std::to_string(project)));
-    }
-    Shard& shard = *shards_[loc.shard];
+    Result<std::pair<size_t, ProjectId>> loc = Locate(project);
+    if (!loc.ok()) return R(loc.status());
+    const auto [s, local] = loc.value();
+    Shard& shard = *shards_[s];
     shard.ops->Inc();
     obs::Span span("core.shard");  // no-op unless this request is traced
-    span.Annotate("shard", static_cast<uint64_t>(loc.shard));
+    span.Annotate("shard", static_cast<uint64_t>(s));
     std::lock_guard<std::mutex> lock(shard.mu);
-    {
-      // A migration may have landed between the lookup and the lock;
-      // re-resolve under the lock and re-route if the project moved.
-      std::shared_lock<std::shared_mutex> pl(placement_mu_);
-      PlacementMap::Location now;
-      if (!placement_.Resolve(project, &now) || now.shard != loc.shard ||
-          now.local != loc.local) {
-        continue;
-      }
-    }
+    // A migration may have landed between the lookup and the lock;
+    // re-resolve under the lock and re-route if the project moved.
+    Result<std::pair<size_t, ProjectId>> now = Locate(project);
+    if (!now.ok() || now.value() != loc.value()) continue;
     shard.project_ops[project]++;  // rebalancer attribution (under mu)
-    return fn(loc.shard, shard.system.get(),
-              static_cast<ProjectId>(loc.local));
+    return fn(s, shard.system.get(), local);
   }
   return R(Status::Aborted("placement moved repeatedly while routing project " +
                            std::to_string(project)));
@@ -614,24 +624,26 @@ void ShardedSystem::RefreshSnapshot(size_t shard_index,
                                     ProjectId local) const {
   Shard& shard = *shards_[shard_index];
   Result<ProjectInfo> info = shard.system->GetProjectInfo(local);
-  // Slot history, not the codec: a migrated project's snapshot must carry
-  // the global id it was created under. Resolved before snap_mu (leaf
-  // order: shard.mu → placement_mu_, snap_mu independent).
-  const uint64_t global = GlobalProjectOf(shard_index, local);
-  std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
   if (!info.ok()) {
+    std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
     shard.snapshots.erase(local);
     return;
   }
-  QualitySnapshot& snap = shard.snapshots[local];
-  const ProjectInfo& pi = info.value();
-  snap.project = global;
-  snap.state = pi.state;
-  snap.quality = pi.quality;
-  snap.projected_gain = pi.projected_gain;
-  snap.budget_remaining = pi.budget_remaining;
-  snap.tasks_completed = pi.tasks_completed;
-  snap.num_resources = static_cast<uint32_t>(pi.num_resources);
+  ProjectInfo fresh = std::move(info).value();
+  // Slot history, not the codec: a migrated project's snapshot must carry
+  // the global id it was created under. Resolved before snap_mu (leaf
+  // order: shard.mu → placement_mu_, snap_mu independent).
+  fresh.id = GlobalProjectOf(shard_index, local);
+  // Only holders of shard.mu write the table, so it can be compared
+  // without snap_mu; readers are never blocked by a refresh that changes
+  // nothing.
+  auto it = shard.snapshots.find(local);
+  if (it != shard.snapshots.end() && SameInfo(it->second.snap.info, fresh)) {
+    return;
+  }
+  std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
+  QualitySnapshot& snap = shard.snapshots[local].snap;
+  snap.info = std::move(fresh);
   ++snap.version;
 }
 
@@ -647,11 +659,74 @@ void ShardedSystem::RefreshStats(size_t shard_index) const {
 
 void ShardedSystem::RefreshShard(size_t shard_index) const {
   Shard& shard = *shards_[shard_index];
-  for (const ProjectInfo& info :
-       shard.system->ListProjects(static_cast<ProviderId>(-1))) {
-    RefreshSnapshot(shard_index, info.id);
+  const QualityManager& qm = shard.system->quality_manager();
+  const std::vector<ProjectId> live = qm.ProjectIds();
+  for (ProjectId local : live) RefreshSnapshot(shard_index, local);
+  if (shard.snapshots.size() > live.size()) {
+    // Every live project has an entry now, so extra entries belong to
+    // projects the shard lost — a re-attached follower shard whose project
+    // migrated away on the primary.
+    std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
+    for (auto it = shard.snapshots.begin(); it != shard.snapshots.end();) {
+      it = qm.GetRec(it->first) == nullptr ? shard.snapshots.erase(it)
+                                            : std::next(it);
+    }
   }
   RefreshStats(shard_index);
+}
+
+Result<QualitySnapshot> ShardedSystem::ReadSnapshot(ProjectId project,
+                                                    bool routed) const {
+  // Lock-free with respect to shard mutexes even mid-migration: the
+  // destination snapshot is published (under the new slot) before routing
+  // flips, so a reader either sees the source entry or the destination
+  // one. A racing flip can make a probe miss both; probing again while the
+  // placement version keeps moving covers it (bounded like WithProject).
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    const uint64_t v0 = placement_version_.load(std::memory_order_acquire);
+    Result<std::pair<size_t, ProjectId>> loc = Locate(project);
+    if (!loc.ok()) return loc.status();
+    Shard& shard = *shards_[loc.value().first];
+    if (routed) shard.ops->Inc();
+    {
+      std::shared_lock<std::shared_mutex> lock(shard.snap_mu);
+      auto it = shard.snapshots.find(loc.value().second);
+      if (it != shard.snapshots.end()) {
+        if (routed) it->second.reads.fetch_add(1, std::memory_order_relaxed);
+        return it->second.snap;
+      }
+    }
+    if (placement_version_.load(std::memory_order_acquire) == v0) break;
+  }
+  return Status::NotFound("project " + std::to_string(project));
+}
+
+Result<std::pair<size_t, ProjectId>> ShardedSystem::Locate(
+    ProjectId project) const {
+  PlacementMap::Location loc;
+  {
+    std::shared_lock<std::shared_mutex> pl(placement_mu_);
+    if (!placement_.Resolve(project, &loc)) loc.local = 0;
+  }
+  if (loc.local == 0) {  // no shard hands out local id 0 — global is bogus
+    return Status::NotFound("project " + std::to_string(project));
+  }
+  return std::make_pair(loc.shard, static_cast<ProjectId>(loc.local));
+}
+
+std::unordered_map<uint64_t, uint64_t> ShardedSystem::TakeProjectOps(
+    size_t shard_index) const {
+  Shard& shard = *shards_[shard_index];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  std::unordered_map<uint64_t, uint64_t> ops;
+  ops.swap(shard.project_ops);
+  // mu keeps writers out of the table; concurrent readers only touch the
+  // atomics.
+  for (const auto& [local, entry] : shard.snapshots) {
+    const uint64_t reads = entry.reads.exchange(0, std::memory_order_relaxed);
+    if (reads > 0) ops[entry.snap.info.id] += reads;
+  }
+  return ops;
 }
 
 // ----------------------------------------------------------------- users
@@ -895,33 +970,27 @@ Status ShardedSystem::ResumeResource(ProjectId project,
 }
 
 Result<ProjectInfo> ShardedSystem::GetProjectInfo(ProjectId project) const {
-  return WithProject(
-      project,
-      [&](size_t, ITagSystem* sys, ProjectId local) -> Result<ProjectInfo> {
-        Result<ProjectInfo> r = sys->GetProjectInfo(local);
-        if (!r.ok()) return r;
-        ProjectInfo info = std::move(r).value();
-        info.id = project;  // the id the caller routed by — codec or moved
-        return info;
-      });
+  obs::Span span("core.snapshot.read");  // no-op unless this request is traced
+  Result<QualitySnapshot> snap = ReadSnapshot(project, /*routed=*/true);
+  if (!snap.ok()) return snap.status();
+  ProjectInfo info = std::move(snap).value().info;
+  info.id = project;  // the id the caller routed by — codec or moved
+  return info;
 }
 
 std::vector<ProjectInfo> ShardedSystem::ListProjects(
     ProviderId provider) const {
   std::vector<ProjectInfo> out;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (ProjectInfo info : shard.system->ListProjects(provider)) {
-      info.id = GlobalProjectOf(s, info.id);
-      out.push_back(std::move(info));
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::shared_lock<std::shared_mutex> lock(shard->snap_mu);
+    for (const auto& [local, entry] : shard->snapshots) {
+      if (provider == static_cast<ProviderId>(-1) ||
+          entry.snap.info.provider == provider) {
+        out.push_back(entry.snap.info);
+      }
     }
   }
-  // Restore the global Fig. 3 ordering (each shard sorted only its own).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ProjectInfo& a, const ProjectInfo& b) {
-                     return a.quality > b.quality;
-                   });
+  std::sort(out.begin(), out.end(), ListedBefore);
   return out;
 }
 
@@ -1043,19 +1112,13 @@ Result<size_t> ShardedSystem::ExportProject(ProjectId project,
 // ------------------------------------------------------------- tagger API
 
 std::vector<ProjectInfo> ShardedSystem::ListOpenProjects() const {
-  std::vector<ProjectInfo> out;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (ProjectInfo info : shard.system->ListOpenProjects()) {
-      info.id = GlobalProjectOf(s, info.id);
-      out.push_back(std::move(info));
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ProjectInfo& a, const ProjectInfo& b) {
-                     return a.quality > b.quality;
-                   });
+  std::vector<ProjectInfo> out = ListProjects(static_cast<ProviderId>(-1));
+  out.erase(std::remove_if(out.begin(), out.end(),
+                           [](const ProjectInfo& info) {
+                             return info.state != ProjectState::kRunning ||
+                                    info.budget_remaining == 0;
+                           }),
+            out.end());
   return out;
 }
 
@@ -1204,29 +1267,7 @@ Status ShardedSystem::Step(Tick ticks) {
 // ---------------------------------------------------------- observability
 
 Result<QualitySnapshot> ShardedSystem::PeekQuality(ProjectId project) const {
-  // Lock-free with respect to shard mutexes even mid-migration: the
-  // destination snapshot is published (under the new slot) before routing
-  // flips, so a reader either sees the source entry or the destination
-  // one. A racing flip can make one probe miss both; one retry after a
-  // version change covers it.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const uint64_t v0 = placement_version_.load(std::memory_order_acquire);
-    PlacementMap::Location loc;
-    {
-      std::shared_lock<std::shared_mutex> pl(placement_mu_);
-      if (!placement_.Resolve(project, &loc) || loc.local == 0) {
-        return Status::NotFound("project " + std::to_string(project));
-      }
-    }
-    Shard& shard = *shards_[loc.shard];
-    {
-      std::shared_lock<std::shared_mutex> lock(shard.snap_mu);
-      auto it = shard.snapshots.find(static_cast<ProjectId>(loc.local));
-      if (it != shard.snapshots.end()) return it->second;
-    }
-    if (placement_version_.load(std::memory_order_acquire) == v0) break;
-  }
-  return Status::NotFound("project " + std::to_string(project));
+  return ReadSnapshot(project, /*routed=*/false);
 }
 
 ShardStats ShardedSystem::StatsOf(size_t shard) const {
@@ -1252,16 +1293,10 @@ Status ShardedSystem::MigrateProject(ProjectId project, size_t to_shard,
   // One migration at a time; this also serializes every placement_db_
   // write, so the routing overlay and its persisted mirror stay in step.
   std::lock_guard<std::mutex> migration(migrate_mu_);
-  PlacementMap::Location loc;
-  {
-    std::shared_lock<std::shared_mutex> pl(placement_mu_);
-    if (!placement_.Resolve(project, &loc) || loc.local == 0) {
-      return Status::NotFound("project " + std::to_string(project));
-    }
-  }
-  if (loc.shard == to_shard) return Status::OK();
-  const size_t from = loc.shard;
-  const ProjectId local = static_cast<ProjectId>(loc.local);
+  Result<std::pair<size_t, ProjectId>> loc = Locate(project);
+  ITAG_RETURN_IF_ERROR(loc.status());
+  const auto [from, local] = loc.value();
+  if (from == to_shard) return Status::OK();
   obs::Span span("core.rebalance.migrate");
   span.Annotate("project", static_cast<uint64_t>(project));
   span.Annotate("from", static_cast<uint64_t>(from));
@@ -1427,11 +1462,7 @@ void ShardedSystem::RebalanceOnce() {
     total += delta[s];
   }
   auto clear_attribution = [&] {
-    for (size_t s = 0; s < n; ++s) {
-      Shard& shard = *shards_[s];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.project_ops.clear();
-    }
+    for (size_t s = 0; s < n; ++s) (void)TakeProjectOps(s);
   };
   if (total < options_.rebalance_min_ops) {  // idle window — never on noise
     hot_streak_ = 0;
@@ -1457,20 +1488,11 @@ void ShardedSystem::RebalanceOnce() {
   // Two consecutive hot windows — pick a victim from the hot shard's
   // per-project attribution.
   std::vector<std::pair<uint64_t, uint64_t>> attributed;  // (ops, global)
-  {
-    Shard& shard = *shards_[hot];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    attributed.reserve(shard.project_ops.size());
-    for (const auto& [global, ops] : shard.project_ops) {
-      attributed.emplace_back(ops, global);
-    }
-    shard.project_ops.clear();
+  for (const auto& [global, ops] : TakeProjectOps(hot)) {
+    attributed.emplace_back(ops, global);
   }
   for (size_t s = 0; s < n; ++s) {
-    if (s == hot) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.project_ops.clear();
+    if (s != hot) (void)TakeProjectOps(s);
   }
   hot_streak_ = 0;  // cool-down whether or not the migration lands
   if (attributed.empty()) return;

@@ -59,17 +59,15 @@ struct ShardedSystemOptions {
   bool read_only = false;
 };
 
-/// Lock-free-readable per-project quality snapshot (the monitoring hot
-/// path: dashboards poll quality far more often than they mutate). All
-/// fields mirror ProjectInfo; `version` counts snapshot refreshes.
+/// Lock-free-readable per-project snapshot: the full Fig. 3 row that
+/// ProjectQuery serves and monitors poll (dashboards read far more often
+/// than they mutate). Republished under the shard mutex after every
+/// mutation that can change it; readers copy it out without that mutex.
 struct QualitySnapshot {
-  ProjectId project = 0;  ///< global id
-  ProjectState state = ProjectState::kDraft;
-  double quality = 0.0;
-  double projected_gain = 0.0;
-  uint32_t budget_remaining = 0;
-  uint32_t tasks_completed = 0;
-  uint32_t num_resources = 0;
+  ProjectInfo info;  ///< `info.id` is the global id
+  /// Moves only on a real change: a refresh that reproduces the published
+  /// info bit for bit (an idle project across a Step, a no-op control)
+  /// leaves both the entry and its version untouched.
   uint64_t version = 0;
 };
 
@@ -102,14 +100,16 @@ struct ShardStats {
 ///  - Cross-shard batch calls (SubmitTagsBatch, DecideBatch, Step) group
 ///    items per shard and fan out on an internal worker pool, then merge
 ///    per-item statuses back into request order.
-///  - Quality reads (PeekQuality, StatsOf) bypass shard mutexes entirely:
-///    snapshots live behind a shared_mutex-guarded table refreshed on every
-///    mutation, and shard counters behind a seqlock.
-///  - Lock ordering: users_mu_ before any shard mutex; snapshot locks only
-///    inside a shard lock; placement_mu_ is a leaf (taken after a shard
-///    mutex, never around one). MigrateProject is the single path that
-///    holds two shard mutexes at once (std::scoped_lock, deadlock-free),
-///    serialized by migrate_mu_.
+///  - Project reads (GetProjectInfo, ListProjects, ListOpenProjects,
+///    PeekQuality) and StatsOf bypass shard mutexes entirely: snapshots
+///    live behind a shared_mutex-guarded table refreshed on every mutation,
+///    and shard counters behind a seqlock.
+///  - Lock ordering: users_mu_ before any shard mutex; snapshot write
+///    locks only inside a shard lock, read locks under no other lock;
+///    placement_mu_ is a leaf (taken after a shard mutex, never around
+///    one). MigrateProject is the single path that holds two shard
+///    mutexes at once (std::scoped_lock, deadlock-free), serialized by
+///    migrate_mu_.
 ///
 /// Placement model: routing starts from the static id codec but consults a
 /// versioned PlacementMap overlay, so a project can *move* between shards.
@@ -179,9 +179,13 @@ class ShardedSystem {
   Status StopResource(ProjectId project, tagging::ResourceId resource);
   Status ResumeResource(ProjectId project, tagging::ResourceId resource);
 
+  /// The project's snapshot (see QualitySnapshot), read without the shard
+  /// mutex. Counts as a routed op on the owning shard, and towards the
+  /// project's rebalancer attribution, like every locked route.
   Result<ProjectInfo> GetProjectInfo(ProjectId project) const;
-  /// All shards' projects of `provider`, merged and re-sorted by
-  /// descending quality (the Fig. 3 listing order), with global ids.
+  /// All shards' projects of `provider` (every provider for SIZE_MAX),
+  /// from the snapshots, with global ids, in the Fig. 3 listing order —
+  /// descending quality, ties by global id.
   std::vector<ProjectInfo> ListProjects(ProviderId provider) const;
   /// Returns the feed by value (a reference into a shard would escape its
   /// lock) — the one signature that differs from ITagSystem.
@@ -205,6 +209,7 @@ class ShardedSystem {
                                const std::string& path) const;
 
   // ------------------------------------------------------------ tagger API
+  /// Running projects with budget left, ordered like ListProjects.
   std::vector<ProjectInfo> ListOpenProjects() const;
   Result<AcceptedTask> AcceptTask(UserTaggerId tagger, ProjectId project);
   /// Routes to the owning shard; returned handles/project ids are global.
@@ -230,8 +235,9 @@ class ShardedSystem {
   Tick Now() const { return now_.load(std::memory_order_acquire); }
 
   // ------------------------------------------------------------ observability
-  /// Lock-free-path read of a project's quality snapshot; never contends
-  /// with the owning shard's mutex. NotFound for unknown projects.
+  /// Lock-free-path read of a project's snapshot; never contends with the
+  /// owning shard's mutex and, unlike GetProjectInfo, counts no routed op.
+  /// NotFound for unknown projects.
   Result<QualitySnapshot> PeekQuality(ProjectId project) const;
   /// Seqlock read of one shard's aggregate counters.
   ShardStats StatsOf(size_t shard) const;
@@ -252,6 +258,11 @@ class ShardedSystem {
   /// `moved_ops_hint` only feeds the core.rebalance.moved_ops counter.
   Status MigrateProject(ProjectId project, size_t to_shard,
                         uint64_t moved_ops_hint = 0);
+
+  /// Where `project` lives now: (shard index, shard-local id) through the
+  /// placement map. NotFound for ids no shard can hold; an id the codec
+  /// can hold but nobody created resolves to a slot with no project.
+  Result<std::pair<size_t, ProjectId>> Locate(ProjectId project) const;
 
   /// Current placement-map version (bumped once per migration). Batch
   /// routers re-check this to re-route items that raced a migration.
@@ -290,7 +301,8 @@ class ShardedSystem {
   Status ReattachShard(size_t shard_index);
 
   /// Rebuilds the placement routing overlay from the placement database
-  /// (follower, after placement-DB records were applied).
+  /// (follower, after placement-DB records were applied), then refreshes
+  /// every shard's snapshots so their global ids follow the new map.
   Status ReloadPlacement();
 
   /// Follower → writable primary: resolves any replicated migration
@@ -310,15 +322,24 @@ class ShardedSystem {
     std::unique_ptr<ITagSystem> system;
     mutable std::mutex mu;  ///< serializes every access to `system`
     /// Snapshot table (keyed by *local* project id). Guarded by snap_mu,
-    /// written only while `mu` is also held.
+    /// written only while `mu` is also held — so a holder of `mu` may read
+    /// it without snap_mu.
     mutable std::shared_mutex snap_mu;
-    std::unordered_map<ProjectId, QualitySnapshot> snapshots;
+    struct SnapshotEntry {
+      QualitySnapshot snap;
+      /// GetProjectInfo reads since the rebalancer last harvested them:
+      /// the lock-free half of the per-project attribution.
+      mutable std::atomic<uint64_t> reads{0};
+    };
+    std::unordered_map<ProjectId, SnapshotEntry> snapshots;
     SeqLock<ShardStats> stats;
     // Counters feeding ShardStats; guarded by mu.
     uint64_t projects_created = 0;
     uint64_t tasks_accepted = 0;
     /// Per-project routed-op attribution for the rebalancer, keyed by
-    /// *global* id. Guarded by mu; snapshotted + cleared once per window.
+    /// *global* id: the locked routes (guarded by mu) — snapshot reads
+    /// count in SnapshotEntry::reads. Harvested once per window by
+    /// TakeProjectOps.
     std::unordered_map<uint64_t, uint64_t> project_ops;
     /// Registry mirror `core.shard.<i>.ops`: ops routed to this shard
     /// (single-project routes, batch-group runs, creates). Relaxed atomic,
@@ -384,10 +405,23 @@ class ShardedSystem {
                                     const char* noun, HandleOf handle_of,
                                     Relabel relabel, RunShard run_shard);
 
-  /// Refreshes the snapshot of one local project (shard mutex held).
+  /// Republishes the snapshot of one local project when its info changed,
+  /// or drops it when the project is gone (shard mutex held).
   void RefreshSnapshot(size_t shard_index, ProjectId local) const;
-  /// Refreshes every project snapshot + shard stats (shard mutex held).
+  /// RefreshSnapshot over every project of the shard, drops snapshots of
+  /// projects the shard no longer holds, and publishes the shard stats
+  /// (shard mutex held).
   void RefreshShard(size_t shard_index) const;
+  /// The snapshot read behind GetProjectInfo and PeekQuality: resolves the
+  /// placement and copies the entry out under snap_mu's shared side,
+  /// probing again while a racing migration keeps moving the placement.
+  /// `routed` counts each probe in the shard's ops and a hit in the
+  /// entry's attribution.
+  Result<QualitySnapshot> ReadSnapshot(ProjectId project, bool routed) const;
+  /// Ops per global project id routed to `shard_index` since the last
+  /// call, locked routes and snapshot reads together; resets both.
+  std::unordered_map<uint64_t, uint64_t> TakeProjectOps(
+      size_t shard_index) const;
   /// Publishes current ledger/project counters (shard mutex held).
   void RefreshStats(size_t shard_index) const;
 

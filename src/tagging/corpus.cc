@@ -15,6 +15,7 @@ ResourceId Corpus::AddResource(ResourceKind kind, std::string uri,
   resources_.push_back(std::move(r));
   stats_.emplace_back(history_window_);
   posts_.emplace_back();
+  ++version_;
   return id;
 }
 
@@ -27,6 +28,7 @@ Status Corpus::AddPost(ResourceId id, Post post) {
   }
   stats_[id].AddPost(post);
   posts_[id].push_back(std::move(post));
+  ++version_;
   return Status::OK();
 }
 

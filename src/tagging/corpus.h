@@ -48,6 +48,12 @@ class Corpus {
   /// Sum of post counts over all resources.
   uint64_t TotalPosts() const;
 
+  /// Mutation counter: bumped by every AddResource and every accepted
+  /// AddPost, the corpus's only mutators. Append-only, so two equal
+  /// versions of one corpus always mean equal contents — caches of values
+  /// derived from the corpus key on it.
+  uint64_t version() const { return version_; }
+
   /// The shared tag dictionary.
   TagDictionary& dict() { return dict_; }
   const TagDictionary& dict() const { return dict_; }
@@ -60,6 +66,7 @@ class Corpus {
   std::vector<Resource> resources_;
   std::vector<TagStats> stats_;
   std::vector<PostSequence> posts_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace itag::tagging

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "derived_oracle.h"
+#include "net_test_scenario.h"
 
 namespace itag::api {
 namespace {
@@ -328,6 +332,35 @@ TEST_F(ApiServiceTest, FacadeAddBudgetSaturatesOnDraftProjects) {
   ASSERT_TRUE(service_.system().AddBudget(project_, 0xFFFFFFF0u).ok());
   ProjectQueryResponse info = service_.ProjectQuery({project_, false, {}});
   EXPECT_EQ(info.info.budget_remaining, 0xFFFFFFFFu);
+}
+
+// The full-coverage script, with every derived value the service serves
+// checked against an uncached recomputation after each request — the check
+// the byte-equality replays cannot make, since both sides of those run the
+// same per-version cache.
+TEST(ApiServiceOracleTest, ServedInfoMatchesUncachedAfterEveryScriptRequest) {
+  for (size_t shards : {0u, 2u}) {  // 0 = the single-system backend
+    SCOPED_TRACE(shards == 0 ? "single system" : "2 shards");
+    std::vector<AnyRequest> script;
+    std::unique_ptr<Service> service;
+    if (shards == 0) {
+      script = nettest::FullCoverageScript();
+      service = std::make_unique<Service>(core::ITagSystemOptions{});
+    } else {
+      script = nettest::FullCoverageScriptSharded(shards);
+      core::ShardedSystemOptions opts;
+      opts.num_shards = shards;
+      opts.pool_threads = 1;
+      service = std::make_unique<Service>(opts);
+    }
+    ASSERT_TRUE(service->Init().ok());
+    for (size_t i = 0; i < script.size(); ++i) {
+      (void)service->Dispatch(script[i]);
+      EXPECT_TRUE(oracle::ServedMatchesUncached(*service))
+          << "after request #" << i << " ("
+          << RequestTypeName(script[i].index()) << ")";
+    }
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/seqlock.h"
 #include "common/sharding.h"
 #include "common/thread_pool.h"
+#include "derived_oracle.h"
 #include "itag/sharded_system.h"
 
 namespace itag {
@@ -27,6 +29,7 @@ using core::ProjectSpec;
 using core::ProviderId;
 using core::ShardedSystem;
 using core::ShardedSystemOptions;
+using core::TaskHandle;
 using core::UserTaggerId;
 
 // ------------------------------------------------------------- primitives
@@ -224,7 +227,7 @@ TEST(ConcurrentDispatchTest, MatchesSingleThreadedReplay) {
         for (ProjectId p : projects) {
           auto peek = sharded.sharded()->PeekQuality(p);
           ASSERT_TRUE(peek.ok());
-          ASSERT_LE(peek.value().tasks_completed, kBudget);
+          ASSERT_LE(peek.value().info.tasks_completed, kBudget);
           (void)sharded.ProjectQuery({p, false, {}});
         }
         (void)sharded.sharded()->TotalPaidCents();
@@ -392,6 +395,121 @@ TEST(ConcurrentDispatchTest, ParallelStepRacesCleanlyWithQueries) {
   for (ProjectId p : projects) {
     EXPECT_GT(service.ProjectQuery({p, false, {}}).info.tasks_completed, 0u);
   }
+}
+
+TEST(ConcurrentDispatchTest, SnapshotReadsRaceWritersStepAndMigration) {
+  // ProjectQuery reads the lock-free snapshot while accept/submit/decide
+  // writers, Step and MigrateProject all move it. Every read must be a
+  // state the project actually passed through: budget conserved, progress
+  // never going backwards, and a live project never reading NotFound.
+  constexpr uint32_t kAudienceBudget = 90;
+  constexpr uint32_t kPlatformBudget = 200;
+  api::Service service(ShardOpts(4));
+  ASSERT_TRUE(service.Init().ok());
+  ProviderId provider = service.RegisterProvider({"prov"}).provider;
+  UserTaggerId tagger = service.RegisterTagger({"tagger"}).tagger;
+  auto make_project = [&](ProjectSpec spec) {
+    ProjectId p = service.CreateProject({provider, spec}).project;
+    api::BatchUploadResourcesRequest upload;
+    upload.project = p;
+    for (int r = 0; r < 4; ++r) {
+      upload.items.push_back(
+          {tagging::ResourceKind::kWebUrl, "u-" + std::to_string(r), "", {}});
+    }
+    EXPECT_TRUE(service.BatchUploadResources(upload).outcome.all_ok());
+    EXPECT_TRUE(service.BatchControl({p, {{api::ControlAction::kStart}}})
+                    .outcome.all_ok());
+    return p;
+  };
+  const ProjectId audience = make_project(StressSpec(kAudienceBudget));
+  ProjectSpec mturk = StressSpec(kPlatformBudget);
+  mturk.platform = core::PlatformChoice::kMTurk;
+  const ProjectId platform = make_project(mturk);
+  const std::vector<std::pair<ProjectId, uint32_t>> granted = {
+      {audience, kAudienceBudget}, {platform, kPlatformBudget}};
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    // A route that raced one migration too many fails without side effects
+    // (NotFound or Aborted); the writer retries it like a client would.
+    auto until_routed = [](auto call) {
+      for (int attempt = 0; attempt < 1000; ++attempt) {
+        Status st = call();
+        if (!st.IsNotFound() && !st.IsAborted()) return st;
+      }
+      return Status::Aborted("never routed");
+    };
+    // One task at a time; every fourth submission is rejected (refunded).
+    for (int i = 0; i < 4 * static_cast<int>(kAudienceBudget); ++i) {
+      api::BatchAcceptTasksResponse accepted;
+      Status st = until_routed([&] {
+        accepted = service.BatchAcceptTasks({tagger, audience, 1});
+        return accepted.status;
+      });
+      if (st.IsResourceExhausted()) break;
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      const TaskHandle handle = accepted.tasks[0].handle;
+      st = until_routed([&] {
+        return service.BatchSubmitTags({{{tagger, handle, {"a", "b"}}}})
+            .outcome.statuses[0];
+      });
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      st = until_routed([&] {
+        return service.BatchDecide({provider, {{handle, i % 4 != 3}}})
+            .outcome.statuses[0];
+      });
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+  });
+  std::thread stepper([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      EXPECT_TRUE(service.Step({1}).status.ok());
+    }
+  });
+  std::atomic<uint64_t> migrations{0};
+  std::atomic<uint64_t> reads{0};
+  std::thread migrator([&] {
+    for (size_t to = 1; !stop.load(std::memory_order_acquire); ++to) {
+      for (ProjectId p : {audience, platform}) {
+        // FailedPrecondition: platform tasks in flight cannot move.
+        Status st = service.sharded()->MigrateProject(p, to % 4);
+        EXPECT_TRUE(st.ok() || st.IsFailedPrecondition()) << st.ToString();
+        if (st.ok()) migrations.fetch_add(1, std::memory_order_relaxed);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      std::vector<uint32_t> seen(granted.size(), 0);
+      while (!stop.load(std::memory_order_acquire)) {
+        for (size_t i = 0; i < granted.size(); ++i) {
+          auto q = service.ProjectQuery({granted[i].first, false, {}});
+          ASSERT_TRUE(q.status.ok()) << q.status.ToString();
+          EXPECT_LE(q.info.tasks_completed + q.info.budget_remaining,
+                    granted[i].second);
+          EXPECT_GE(q.info.tasks_completed, seen[i])
+              << "project " << granted[i].first << " went backwards";
+          seen[i] = q.info.tasks_completed;
+          reads.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  writer.join();
+  stop.store(true, std::memory_order_release);
+  stepper.join();
+  migrator.join();
+  for (std::thread& th : readers) th.join();
+
+  EXPECT_GT(migrations.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  auto final_read = service.ProjectQuery({audience, false, {}});
+  ASSERT_TRUE(final_read.status.ok());
+  EXPECT_EQ(final_read.info.budget_remaining, 0u);
+  EXPECT_EQ(final_read.info.tasks_completed, kAudienceBudget);
+  EXPECT_TRUE(oracle::ServedMatchesUncached(service));
 }
 
 }  // namespace

@@ -134,7 +134,7 @@ TEST_F(QualityManagerTest, BudgetExhaustionNotifiesOnce) {
 
 TEST_F(QualityManagerTest, ProjectedGainPositiveAndShrinks) {
   ProjectId p = NewProject(100, 3);
-  double before = qm_->ProjectedGain(p).value();
+  double before = qm_->GetInfo(p).value().projected_gain;
   EXPECT_GT(before, 0.0);
   // Feed lots of stable posts: the remaining-budget projection shrinks.
   ASSERT_TRUE(qm_->Start(p).ok());
@@ -143,8 +143,12 @@ TEST_F(QualityManagerTest, ProjectedGainPositiveAndShrinks) {
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(qm_->CompletePost(p, r.value(), MakePost(p, "same")).ok());
   }
-  double after = qm_->ProjectedGain(p).value();
-  EXPECT_LT(after, before);
+  ProjectInfo info = qm_->GetInfo(p).value();
+  EXPECT_LT(info.projected_gain, before);
+  // The cached value is the one a from-scratch split gives.
+  EXPECT_EQ(info.projected_gain,
+            QualityManager::ComputeProjectedGain(*resources_->GetCorpus(p),
+                                                 info.budget_remaining));
 }
 
 TEST_F(QualityManagerTest, ProjectedGainZeroWithoutBudget) {
@@ -152,7 +156,7 @@ TEST_F(QualityManagerTest, ProjectedGainZeroWithoutBudget) {
   ASSERT_TRUE(qm_->Start(p).ok());
   ASSERT_TRUE(qm_->ChooseNextTask(p).ok());
   ASSERT_TRUE(qm_->ChooseNextTask(p).ok());
-  EXPECT_EQ(qm_->ProjectedGain(p).value(), 0.0);
+  EXPECT_EQ(qm_->GetInfo(p).value().projected_gain, 0.0);
 }
 
 TEST_F(QualityManagerTest, RecommendStrategyFollowsCoverage) {

@@ -27,6 +27,7 @@
 #include "itag/sharded_system.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "derived_oracle.h"
 #include "net_test_scenario.h"
 #include "obs/metrics.h"
 #include "repl/repl.h"
@@ -173,6 +174,10 @@ TEST_F(ReplTest, FollowerConvergesByteEqualAfterEveryRequest) {
     ExpectSameState(primary.service, follower.service,
                     "after request #" + std::to_string(i) + " (" +
                         api::RequestTypeName(script[i].index()) + ")");
+    // Byte equality with the primary cannot catch a stale derived value
+    // both sides share; the follower's re-derived records can.
+    EXPECT_TRUE(oracle::ServedMatchesUncached(follower.service))
+        << "follower, after request #" << i;
   }
 
   // The stream reported progress the obs surface can see.

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -13,6 +16,7 @@
 
 #include "api/service.h"
 #include "common/sharding.h"
+#include "derived_oracle.h"
 #include "itag/sharded_system.h"
 #include "obs/metrics.h"
 
@@ -37,6 +41,19 @@ ShardedSystemOptions Opts(size_t shards) {
   opts.num_shards = shards;
   opts.pool_threads = 2;
   return opts;
+}
+
+/// PeekQuality's snapshot of `p` against the uncached oracle.
+void ExpectPeekMatchesOracle(ShardedSystem& sys, ProjectId p) {
+  auto at = sys.Locate(p);
+  ASSERT_TRUE(at.ok());
+  auto expect =
+      oracle::UncachedInfo(sys.shard_system(at.value().first),
+                           at.value().second, p);
+  ASSERT_TRUE(expect.ok());
+  auto peek = sys.PeekQuality(p);
+  ASSERT_TRUE(peek.ok());
+  EXPECT_TRUE(oracle::SameInfo(peek.value().info, expect.value()));
 }
 
 ProjectSpec AudienceSpec(const std::string& name, uint32_t budget) {
@@ -230,6 +247,143 @@ TEST(ShardedSystemTest, ListingsMergeAcrossShardsWithGlobalIds) {
   EXPECT_EQ(sys.ListOpenProjects().size(), 6u);
 }
 
+TEST(ShardedSystemTest, ListingsBreakQualityTiesOnGlobalId) {
+  // Round-robin over two shards: global ids 2, 4, 6 land on shard 0 and
+  // 3, 5 on shard 1. Equal-quality rows must still come out in id order,
+  // not in shard order ([2, 4, 6, 3, 5]).
+  ShardedSystem sys(Opts(2));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("p").value();
+  std::vector<ProjectId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ProjectId p =
+        sys.CreateProject(provider, AudienceSpec("p" + std::to_string(i), 10))
+            .value();
+    ASSERT_TRUE(
+        sys.UploadResource(p, tagging::ResourceKind::kWebUrl, "u", "").ok());
+    ASSERT_TRUE(sys.StartProject(p).ok());
+    ids.push_back(p);
+  }
+  ASSERT_NE(ShardOfId(ids[0], 2), ShardOfId(ids[1], 2))
+      << "placement no longer interleaves shards";
+  std::vector<ProjectId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  auto ids_of = [](const std::vector<ProjectInfo>& rows) {
+    std::vector<ProjectId> out;
+    for (const ProjectInfo& row : rows) {
+      EXPECT_EQ(row.quality, 0.0);  // untagged: every row ties
+      out.push_back(row.id);
+    }
+    return out;
+  };
+  EXPECT_EQ(ids_of(sys.ListProjects(provider)), sorted);
+  EXPECT_EQ(ids_of(sys.ListOpenProjects()), sorted);
+
+  // Quality still leads: a tagged project jumps ahead of the ties.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(sys.ImportPost(ids.back(), 0, {"a", "b"}).ok());
+  }
+  std::vector<ProjectInfo> open = sys.ListOpenProjects();
+  ASSERT_EQ(open.size(), ids.size());
+  EXPECT_GT(open.front().quality, 0.0);
+  EXPECT_EQ(open.front().id, ids.back());
+}
+
+TEST(ShardedSystemTest, UnchangedProjectIsNeverRecomputed) {
+  obs::Counter* recomputes =
+      obs::MetricsRegistry::Default().GetCounter("core.derived.recomputes");
+  for (size_t shards : {0u, 2u}) {  // 0 = the single-system backend
+    SCOPED_TRACE(shards == 0 ? "single system" : "sharded");
+    std::unique_ptr<api::Service> service =
+        shards == 0 ? std::make_unique<api::Service>(core::ITagSystemOptions{})
+                    : std::make_unique<api::Service>(Opts(shards));
+    ASSERT_TRUE(service->Init().ok());
+    const uint64_t before_setup = recomputes->value();
+    ProviderId provider = service->RegisterProvider({"p"}).provider;
+    api::CreateProjectRequest create;
+    create.provider = provider;
+    create.spec = AudienceSpec("watched", 50);
+    ProjectId p = service->CreateProject(create).project;
+    api::BatchUploadResourcesRequest upload;
+    upload.project = p;
+    for (int r = 0; r < 8; ++r) {
+      upload.items.push_back({tagging::ResourceKind::kWebUrl,
+                              "u" + std::to_string(r),
+                              "",
+                              {"seed", "t" + std::to_string(r % 3)}});
+    }
+    ASSERT_TRUE(service->BatchUploadResources(upload).outcome.all_ok());
+    ASSERT_TRUE(
+        service->BatchControl({p, {{api::ControlAction::kStart}}})
+            .outcome.all_ok());
+
+    const api::ProjectQueryResponse first = service->ProjectQuery({p, false, {}});
+    ASSERT_TRUE(first.status.ok());
+    const uint64_t after_first = recomputes->value();
+    EXPECT_GT(after_first, before_setup);  // the uploads did change it
+    for (int i = 0; i < 1000; ++i) {
+      api::ProjectQueryResponse q = service->ProjectQuery({p, false, {}});
+      ASSERT_TRUE(q.status.ok());
+      ASSERT_EQ(q.info.quality, first.info.quality);
+    }
+    EXPECT_EQ(recomputes->value(), after_first);
+    EXPECT_TRUE(oracle::ServedMatchesUncached(*service));
+  }
+}
+
+TEST(ShardedSystemTest, StepRecomputesOnlyProjectsThatChanged) {
+  // The platform_tick shape: 16 running MTurk projects and 48 started
+  // audience projects nobody tags, over 4 shards. Budgets sit above the
+  // projected-gain horizon, so pumping tasks alone changes no cache key.
+  ShardedSystem sys(Opts(4));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("p").value();
+  std::vector<ProjectId> running, idle;
+  for (int i = 0; i < 64; ++i) {
+    ProjectSpec spec = AudienceSpec("p" + std::to_string(i), 50000);
+    if (i < 16) spec.platform = core::PlatformChoice::kMTurk;
+    ProjectId p = sys.CreateProject(provider, spec).value();
+    for (int r = 0; r < 8; ++r) {
+      ASSERT_TRUE(sys.UploadResource(p, tagging::ResourceKind::kWebUrl,
+                                     "u" + std::to_string(r), "")
+                      .ok());
+      ASSERT_TRUE(sys.ImportPost(p, r, {"seed", "t" + std::to_string(r)}).ok());
+    }
+    ASSERT_TRUE(sys.StartProject(p).ok());
+    (i < 16 ? running : idle).push_back(p);
+  }
+  ASSERT_TRUE(sys.Step(5).ok());  // warm: tasks posted, some answered
+
+  obs::Counter* recomputes =
+      obs::MetricsRegistry::Default().GetCounter("core.derived.recomputes");
+  size_t ticks_with_posts = 0;
+  for (int tick = 0; tick < 20; ++tick) {
+    std::map<ProjectId, QualitySnapshot> before;
+    for (ProjectId p : running) before[p] = sys.PeekQuality(p).value();
+    for (ProjectId p : idle) before[p] = sys.PeekQuality(p).value();
+    const uint64_t r0 = recomputes->value();
+    ASSERT_TRUE(sys.Step(1).ok());
+    // A running project whose posts landed this tick recomputes its quality
+    // once (the feed point) and its gain once (the snapshot refresh);
+    // everything else recomputes nothing.
+    uint64_t changed = 0;
+    for (ProjectId p : running) {
+      QualitySnapshot now = sys.PeekQuality(p).value();
+      if (now.info.tasks_completed != before[p].info.tasks_completed) {
+        ++changed;
+      }
+    }
+    EXPECT_EQ(recomputes->value() - r0, 2 * changed) << "tick " << tick;
+    if (changed > 0) ++ticks_with_posts;
+    for (ProjectId p : idle) {
+      EXPECT_EQ(sys.PeekQuality(p).value().version, before[p].version)
+          << "idle project " << p << " republished on tick " << tick;
+    }
+  }
+  EXPECT_GT(ticks_with_posts, 0u) << "no posts landed: the test proves nothing";
+  EXPECT_TRUE(oracle::ServedMatchesUncached(sys));
+}
+
 TEST(ShardedSystemTest, PeekQualityTracksProjectWithoutShardLock) {
   ShardedSystem sys(Opts(2));
   ASSERT_TRUE(sys.Init().ok());
@@ -239,35 +393,35 @@ TEST(ShardedSystemTest, PeekQualityTracksProjectWithoutShardLock) {
   EXPECT_TRUE(sys.PeekQuality(0).status().IsNotFound());
   auto snap0 = sys.PeekQuality(p);
   ASSERT_TRUE(snap0.ok());
-  EXPECT_EQ(snap0.value().project, p);
-  EXPECT_EQ(snap0.value().state, core::ProjectState::kDraft);
-  EXPECT_EQ(snap0.value().budget_remaining, 10u);
+  EXPECT_EQ(snap0.value().info.id, p);
+  EXPECT_EQ(snap0.value().info.state, core::ProjectState::kDraft);
+  EXPECT_EQ(snap0.value().info.budget_remaining, 10u);
+  ExpectPeekMatchesOracle(sys, p);
 
   auto resource = sys.UploadResource(p, tagging::ResourceKind::kWebUrl,
                                      "u", "");
   ASSERT_TRUE(resource.ok());
+  ExpectPeekMatchesOracle(sys, p);
   // Imported provider tags move the corpus quality; the lock-free snapshot
   // must follow without any other mutation happening (regression: stale
   // PeekQuality after ImportPost).
   ASSERT_TRUE(sys.ImportPost(p, resource.value(), {"seed", "tags"}).ok());
-  EXPECT_DOUBLE_EQ(sys.PeekQuality(p).value().quality,
-                   sys.GetProjectInfo(p).value().quality);
+  ExpectPeekMatchesOracle(sys, p);
   ASSERT_TRUE(sys.StartProject(p).ok());
   AcceptedTask task = sys.AcceptTask(tagger, p).value();
+  ExpectPeekMatchesOracle(sys, p);
   ASSERT_TRUE(sys.SubmitTags(tagger, task.handle, {"x"}).ok());
   ASSERT_TRUE(sys.Decide(provider, task.handle, true).ok());
 
   auto snap1 = sys.PeekQuality(p);
   ASSERT_TRUE(snap1.ok());
-  EXPECT_EQ(snap1.value().state, core::ProjectState::kRunning);
-  EXPECT_EQ(snap1.value().budget_remaining, 9u);
-  EXPECT_EQ(snap1.value().tasks_completed, 1u);
+  EXPECT_EQ(snap1.value().info.state, core::ProjectState::kRunning);
+  EXPECT_EQ(snap1.value().info.budget_remaining, 9u);
+  EXPECT_EQ(snap1.value().info.tasks_completed, 1u);
   EXPECT_GT(snap1.value().version, snap0.value().version);
-  // Snapshot agrees with the locked read path.
-  auto info = sys.GetProjectInfo(p);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(snap1.value().tasks_completed, info.value().tasks_completed);
-  EXPECT_DOUBLE_EQ(snap1.value().quality, info.value().quality);
+  // The snapshot is what the shard's records give, recomputed uncached.
+  ExpectPeekMatchesOracle(sys, p);
+  EXPECT_TRUE(oracle::ServedMatchesUncached(sys));
 
   core::ShardStats stats = sys.StatsOf(ShardOfId(p, 2));
   EXPECT_EQ(stats.projects, 1u);
@@ -304,7 +458,7 @@ TEST(ShardedSystemTest, StepPumpsPlatformProjectsOnEveryShard) {
     EXPECT_GT(info.value().tasks_completed, 0u)
         << "project " << p << " never pumped";
     // The snapshot path saw the Step too.
-    EXPECT_EQ(sys.PeekQuality(p).value().tasks_completed,
+    EXPECT_EQ(sys.PeekQuality(p).value().info.tasks_completed,
               info.value().tasks_completed);
   }
   EXPECT_GT(sys.TotalPaidCents(), 0u);
@@ -442,7 +596,10 @@ TEST(ShardedMigrationTest, ProjectKeepsIdAndHandlesAcrossMoves) {
   EXPECT_EQ(after.tasks_completed, before.tasks_completed);
   EXPECT_EQ(after.num_resources, before.num_resources);
   EXPECT_EQ(after.quality, before.quality);
-  EXPECT_EQ(sys.PeekQuality(p).value().project, p);
+  EXPECT_EQ(sys.PeekQuality(p).value().info.id, p);
+  // The destination serves what its adopted records give, recomputed
+  // uncached — and so does every project that stayed put.
+  EXPECT_TRUE(oracle::ServedMatchesUncached(sys));
   // Shard accounting followed the project.
   EXPECT_EQ(sys.StatsOf(0).projects, 1u);
   EXPECT_EQ(sys.StatsOf(2).projects, 3u);
@@ -555,7 +712,7 @@ TEST(ShardedMigrationTest, ConcurrentTrafficDuringMigrationMatchesReplay) {
       auto snap = sys.PeekQuality(p);
       EXPECT_TRUE(snap.ok()) << snap.status().ToString();
       if (snap.ok()) {
-        EXPECT_EQ(snap.value().project, p);
+        EXPECT_EQ(snap.value().info.id, p);
       }
     }
   });
