@@ -1236,32 +1236,26 @@ Status ShardedSystem::Step(Tick ticks) {
   if (!initialized_) return Status::FailedPrecondition("call Init() first");
   obs::ScopedTimer step_timer(metrics_.step_latency_us);
   if (ticks > 0) metrics_.step_ticks->Inc(static_cast<uint64_t>(ticks));
-  std::vector<Status> results(shards_.size());
-  const obs::TraceContext trace = obs::CurrentTrace();
-  const uint64_t parent_span = obs::CurrentSpanId();
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards_.size());
+  // Shards advance one after another on the calling thread. With derived
+  // state cached, a tick costs a shard about a millisecond; fanned out on
+  // the pool, every tick would wait for all shard tasks to be scheduled at
+  // once, and on a busy host that wait, not the work, set its latency.
+  Status first = Status::OK();
   for (size_t s = 0; s < shards_.size(); ++s) {
-    tasks.push_back([this, s, ticks, &results, trace, parent_span] {
-      obs::ScopedTraceContext trace_scope(trace, parent_span);
-      obs::Span span("core.shard");
-      span.Annotate("shard", static_cast<uint64_t>(s));
-      Shard& shard = *shards_[s];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      Tick target = shard.system->clock().Now() + (ticks > 0 ? ticks : 0);
-      results[s] = shard.system->Step(ticks);
-      // A failing Step returns mid-tick; time still passed. Re-align the
-      // shard clock so all shards stay in lockstep with Now().
-      shard.system->clock().AdvanceTo(target);
-      RefreshShard(s);
-    });
+    obs::Span span("core.shard");
+    span.Annotate("shard", static_cast<uint64_t>(s));
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    Tick target = shard.system->clock().Now() + (ticks > 0 ? ticks : 0);
+    Status st = shard.system->Step(ticks);
+    // A failing Step returns mid-tick; time still passed. Re-align the
+    // shard clock so all shards stay in lockstep with Now().
+    shard.system->clock().AdvanceTo(target);
+    RefreshShard(s);
+    if (first.ok()) first = std::move(st);
   }
-  pool_->RunAll(std::move(tasks));
   if (ticks > 0) now_.fetch_add(ticks, std::memory_order_acq_rel);
-  for (const Status& st : results) {
-    ITAG_RETURN_IF_ERROR(st);
-  }
-  return Status::OK();
+  return first;
 }
 
 // ---------------------------------------------------------- observability

@@ -27,8 +27,9 @@ struct ShardedSystemOptions {
   /// partitioned across shards, so shards never contend with each other.
   size_t num_shards = 4;
 
-  /// Worker threads of the fan-out pool used by Step() and the cross-shard
-  /// batch entry points. 0 picks min(num_shards, hardware_concurrency).
+  /// Worker threads of the fan-out pool used by Checkpoint() and the
+  /// cross-shard batch entry points. 0 picks
+  /// min(num_shards, hardware_concurrency).
   size_t pool_threads = 0;
 
   /// Template for every shard's ITagSystem. A non-empty `db.directory`
@@ -97,9 +98,10 @@ struct ShardStats {
 ///
 /// Concurrency model (see docs/concurrency.md for the full invariants):
 ///  - One mutex per shard serializes everything inside that shard.
-///  - Cross-shard batch calls (SubmitTagsBatch, DecideBatch, Step) group
-///    items per shard and fan out on an internal worker pool, then merge
-///    per-item statuses back into request order.
+///  - Cross-shard batch calls (SubmitTagsBatch, DecideBatch) group items
+///    per shard and fan out on an internal worker pool, then merge
+///    per-item statuses back into request order. Step advances the shards
+///    one after another on the calling thread.
 ///  - Project reads (GetProjectInfo, ListProjects, ListOpenProjects,
 ///    PeekQuality) and StatsOf bypass shard mutexes entirely: snapshots
 ///    live behind a shared_mutex-guarded table refreshed on every mutation,
@@ -228,8 +230,8 @@ class ShardedSystem {
   void SetPostSource(PostSource source);
   /// Broadcast to every shard; the policy sees global project/handle ids.
   void SetApprovalPolicy(ProviderId provider, ApprovalPolicy policy);
-  /// Advances all shards by `ticks` in parallel on the worker pool, then
-  /// the sharded clock. Returns the first shard error, if any.
+  /// Advances every shard by `ticks`, one after another on the calling
+  /// thread, then the sharded clock. Returns the first shard error, if any.
   Status Step(Tick ticks);
   /// Current simulated time (all shard clocks advance in lockstep).
   Tick Now() const { return now_.load(std::memory_order_acquire); }
@@ -349,7 +351,7 @@ class ShardedSystem {
 
   /// Registry metrics of the cross-shard layer (core.*), cached once.
   struct CoreMetrics {
-    obs::Histogram* step_latency_us;   ///< wall time of one Step() fan-out
+    obs::Histogram* step_latency_us;   ///< wall time of one Step()
     obs::Counter* step_ticks;          ///< simulated ticks advanced
     obs::Counter* route_items;         ///< items through RouteByHandle
     obs::Counter* route_fanouts;       ///< RouteByHandle calls hitting >1 shard
